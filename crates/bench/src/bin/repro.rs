@@ -13,22 +13,25 @@
 //! hardware-request simplification), `drain` (Example 4's exclusive
 //! window), `replicate` (multi-seed stability; explicit only), `all`
 //! (default, everything except `replicate`). Output is printed in the
-//! paper's layout; CSV files for the figures are written when
-//! `--csv DIR` is given.
+//! paper's layout; CSV files for Tables 3–8 are written when `--csv DIR`
+//! is given, and a CSV that cannot be written exits 1.
 //!
-//! Tables 3–8 run as one `jobsched-sweep` campaign: `--jobs N` simulates
-//! cells on N worker threads (results are bit-identical to `--jobs 1`),
-//! `--out DIR` persists per-run JSON records into a content-addressed
-//! cache plus a `manifest.json`, and `--resume` serves already-cached
-//! cells from DIR instead of re-simulating them.
+//! Tables 3–8 and `replicate` run as one `jobsched-sweep` campaign:
+//! `--jobs N` simulates cells on N worker threads (results are
+//! bit-identical to `--jobs 1`), `--out DIR` persists per-run JSON records
+//! into a content-addressed cache plus a `manifest.json`, and `--resume`
+//! serves already-cached cells from DIR instead of re-simulating them.
 
-use jobsched_bench::{describe, parse_scale};
-use jobsched_core::ablation;
+use jobsched_algos::spec::PolicyKind;
+use jobsched_algos::{AlgorithmSpec, BackfillMode};
 use jobsched_core::experiment::{EvalTable, Scale};
 use jobsched_core::objective_select::ObjectiveKind;
 use jobsched_core::paper;
+use jobsched_core::replication::replicate;
 use jobsched_core::report::{render_cpu_table, render_table, to_csv};
-use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
+use jobsched_core::{ablation, extensions};
+use jobsched_sweep::grid::objective_tag;
+use jobsched_sweep::{run_campaign, Campaign, SweepOptions, WorkloadSpec};
 use jobsched_workload::stats::WorkloadStats;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -54,7 +57,7 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--scale" => {
                 let name = args.next().unwrap_or_default();
-                scale = parse_scale(&name).unwrap_or_else(|| {
+                scale = Scale::from_name(&name).unwrap_or_else(|| {
                     eprintln!("unknown scale '{name}' (quick|standard|paper)");
                     std::process::exit(2);
                 });
@@ -99,6 +102,42 @@ fn parse_args() -> Options {
     }
 }
 
+/// The workload sizes a scale produces, for display.
+fn describe(scale: Scale) -> String {
+    format!(
+        "{} CTC-like jobs, {} synthetic jobs, seed {}",
+        scale.ctc_jobs, scale.synthetic_jobs, scale.seed
+    )
+}
+
+/// Seeds of the `replicate` item's CTC-like workload realisations.
+const REPLICATE_SEEDS: [u64; 5] = [101, 102, 103, 104, 105];
+
+/// Objectives `replicate` aggregates, in print order.
+const REPLICATE_OBJECTIVES: [ObjectiveKind; 2] = [
+    ObjectiveKind::AvgResponseTime,
+    ObjectiveKind::AvgWeightedResponseTime,
+];
+
+/// Append the `replicate` tables to `campaign`: one paper matrix per
+/// (objective, seed), objective-major, on a CTC-like trace of at most
+/// 8,000 jobs (the whole matrix is multiplied by the seed count).
+fn push_replication(campaign: &mut Campaign, scale: Scale) {
+    let jobs = scale.ctc_jobs.min(8_000);
+    for objective in REPLICATE_OBJECTIVES {
+        for seed in REPLICATE_SEEDS {
+            campaign.push_matrix(
+                format!("replicate-{}-s{seed}", objective_tag(objective)),
+                "replicate",
+                WorkloadSpec::Ctc { jobs, seed },
+                objective,
+                true,
+                false,
+            );
+        }
+    }
+}
+
 fn print_table(table: &EvalTable, cpu: bool, csv_dir: &Option<String>, stem: &str) {
     if cpu {
         println!("{}", render_cpu_table(table));
@@ -106,8 +145,11 @@ fn print_table(table: &EvalTable, cpu: bool, csv_dir: &Option<String>, stem: &st
         println!("{}", render_table(table));
     }
     if let Some(dir) = csv_dir {
-        let _ = std::fs::create_dir_all(dir);
-        let _ = std::fs::write(format!("{dir}/{stem}.csv"), to_csv(table));
+        let path = format!("{dir}/{stem}.csv");
+        if let Err(e) = std::fs::write(&path, to_csv(table)) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -126,6 +168,13 @@ fn table_heading(id: &str) -> &'static str {
 
 fn main() {
     let opts = parse_args();
+    // Fail before hours of simulation, not after.
+    if let Some(dir) = &opts.csv_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create CSV directory {dir}: {e}");
+            std::process::exit(1);
+        }
+    }
     let wants = |name: &str| opts.items.iter().any(|i| i == name || i == "all");
     println!(
         "# IPPS'99 scheduling-algorithm evaluation — {}",
@@ -143,15 +192,23 @@ fn main() {
         println!("(generated in {:.1?})\n", t0.elapsed());
     }
 
-    // Tables 3–8 run as one sweep campaign: shared workloads generated
-    // once, cells distributed over --jobs workers, records cached under
-    // --out, cached cells skipped with --resume.
+    // Tables 3–8 and the replication tables run as one sweep campaign:
+    // shared workloads generated once, cells distributed over --jobs
+    // workers, records cached under --out, cached cells skipped with
+    // --resume. Replication is explicit-only (not part of `all`).
     let wanted_tables: Vec<&str> = ["table3", "table4", "table5", "table6", "table7", "table8"]
         .into_iter()
         .filter(|t| wants(t))
         .collect();
-    if !wanted_tables.is_empty() {
-        let campaign = Campaign::paper_tables(opts.scale, &wanted_tables);
+    let wants_replicate = opts.items.iter().any(|i| i == "replicate");
+    let mut campaign = Campaign::paper_tables(opts.scale, &wanted_tables);
+    let paper_tables = campaign.tables.len();
+    if wants_replicate {
+        push_replication(&mut campaign, opts.scale);
+    }
+    let tables = if campaign.cells.is_empty() {
+        Vec::new()
+    } else {
         let sweep = SweepOptions {
             jobs: opts.jobs,
             out: opts.out.clone(),
@@ -171,14 +228,16 @@ fn main() {
             t0.elapsed(),
             opts.jobs
         );
-        // Each paper table contributes an adjacent (unweighted, weighted)
-        // pair of campaign tables.
-        for (defs, tables) in campaign.tables.chunks(2).zip(outcome.tables.chunks(2)) {
-            let base = defs[0].id.trim_end_matches("-unweighted");
-            println!("{}", table_heading(base));
-            for (def, table) in defs.iter().zip(tables) {
-                print_table(table, def.cpu_table, &opts.csv_dir, &def.id);
-            }
+        outcome.tables
+    };
+    // Each paper table contributes an adjacent (unweighted, weighted)
+    // pair of campaign tables.
+    let (paper, replication) = tables.split_at(paper_tables);
+    for (defs, pair) in campaign.tables.chunks(2).zip(paper.chunks(2)) {
+        let base = defs[0].id.trim_end_matches("-unweighted");
+        println!("{}", table_heading(base));
+        for (def, table) in defs.iter().zip(pair) {
+            print_table(table, def.cpu_table, &opts.csv_dir, &def.id);
         }
     }
     if wants("fig1") {
@@ -240,10 +299,7 @@ fn main() {
 
         println!("\nestimate-quality sweep (SMART-FFIA + EASY, unweighted ART):");
         println!("  (factor 1 = Table 6's exact estimates)");
-        let spec = jobsched_algos::AlgorithmSpec::new(
-            jobsched_algos::spec::PolicyKind::SmartFfia,
-            jobsched_algos::BackfillMode::Easy,
-        );
+        let spec = AlgorithmSpec::new(PolicyKind::SmartFfia, BackfillMode::Easy);
         for r in ablation::estimate_quality_sweep(
             scale,
             ObjectiveKind::AvgResponseTime,
@@ -268,17 +324,11 @@ fn main() {
         let mut scale = opts.scale;
         scale.ctc_jobs = scale.ctc_jobs.min(16_000);
         let candidates = [
-            jobsched_algos::AlgorithmSpec::new(
-                jobsched_algos::spec::PolicyKind::SmartFfia,
-                jobsched_algos::BackfillMode::Easy,
-            ),
-            jobsched_algos::AlgorithmSpec::new(
-                jobsched_algos::spec::PolicyKind::GareyGraham,
-                jobsched_algos::BackfillMode::None,
-            ),
-            jobsched_algos::AlgorithmSpec::reference(),
+            AlgorithmSpec::new(PolicyKind::SmartFfia, BackfillMode::Easy),
+            AlgorithmSpec::new(PolicyKind::GareyGraham, BackfillMode::None),
+            AlgorithmSpec::reference(),
         ];
-        let rows = jobsched_core::extensions::combined_comparison(scale, &candidates);
+        let rows = extensions::combined_comparison(scale, &candidates);
         println!(
             "{:58} {:>14} {:>14}",
             "scheduler", "day ART [s]", "night AWRT"
@@ -292,7 +342,7 @@ fn main() {
         println!("## Extension: the §6.1 hardware-request simplification");
         let mut scale = opts.scale;
         scale.ctc_jobs = scale.ctc_jobs.min(16_000);
-        let c = jobsched_core::extensions::heterogeneity_comparison(scale);
+        let c = extensions::heterogeneity_comparison(scale);
         println!("FCFS on the heterogeneous 430-node partition (raw trace):");
         println!("  honouring types/memory : ART = {:.4E} s", c.typed_art);
         println!("  type-blind (paper §6.1): ART = {:.4E} s", c.blind_art);
@@ -310,7 +360,7 @@ fn main() {
             "{:>16} {:>14} {:>14} {:>10}",
             "estimate ×", "plain ART [s]", "drained ART", "penalty"
         );
-        for r in jobsched_core::extensions::drain_window_cost(scale, &[1.0, 2.0, 4.0, 8.0, 16.0]) {
+        for r in extensions::drain_window_cost(scale, &[1.0, 2.0, 4.0, 8.0, 16.0]) {
             println!(
                 "{:>16.1} {:>14.0} {:>14.0} {:>9.1}%",
                 r.estimate_factor,
@@ -325,7 +375,7 @@ fn main() {
         println!("## Extension: FCFS + gang scheduling ([15]) vs space sharing");
         let mut scale = opts.scale;
         scale.ctc_jobs = scale.ctc_jobs.min(16_000);
-        let rows = jobsched_core::extensions::gang_comparison(scale, &[60, 300, 600, 1800, 3600]);
+        let rows = extensions::gang_comparison(scale, &[60, 300, 600, 1800, 3600]);
         println!(
             "{:>12} {:>14} {:>14}",
             "slice [s]", "ART [s]", "makespan [d]"
@@ -345,20 +395,17 @@ fn main() {
         }
         println!();
     }
-    // Replication is explicit-only (not part of `all`): it multiplies the
-    // whole matrix by the seed count.
-    if opts.items.iter().any(|i| i == "replicate") {
-        println!("## Replication: mean ± std of pct vs FCFS+EASY over 5 seeds");
-        let mut scale = opts.scale;
-        scale.ctc_jobs = scale.ctc_jobs.min(8_000);
-        for objective in [
-            ObjectiveKind::AvgResponseTime,
-            ObjectiveKind::AvgWeightedResponseTime,
-        ] {
+    if wants_replicate {
+        println!(
+            "## Replication: mean ± std of pct vs FCFS+EASY over {} seeds",
+            REPLICATE_SEEDS.len()
+        );
+        for (objective, seeds) in REPLICATE_OBJECTIVES
+            .iter()
+            .zip(replication.chunks(REPLICATE_SEEDS.len()))
+        {
             println!("\n{objective:?}:");
-            let cells =
-                jobsched_core::replication::replicate(scale, objective, &[101, 102, 103, 104, 105]);
-            for c in &cells {
+            for c in &replicate(seeds) {
                 println!(
                     "  {:36} {:>+8.1}% ± {:>5.1}%{}",
                     c.spec.name(),
@@ -392,5 +439,15 @@ fn main() {
             (on[0] - off[0]) / on[0] * 100.0
         );
         println!();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn describe_mentions_sizes() {
+        assert!(describe(Scale::paper()).contains("79164"));
     }
 }

@@ -78,8 +78,8 @@ pub fn gamma_sweep(scale: Scale, objective: ObjectiveKind, gammas: &[f64]) -> Ve
 }
 
 /// Sweep the §5.4 re-computation trigger (max unordered fraction) for
-/// SMART-FFIA + EASY. Returns `(threshold, cost)` rows; pair with the
-/// scheduler CPU numbers from the Criterion bench to see the trade-off.
+/// SMART-FFIA + EASY. Returns a `(threshold, cost)` row per threshold with
+/// its re-computation count, the cost side of the trade-off.
 pub fn reorder_sweep(
     scale: Scale,
     objective: ObjectiveKind,

@@ -43,12 +43,23 @@ impl Scale {
         }
     }
 
-    /// A small scale for integration tests and Criterion benches.
+    /// A small scale for integration tests and CI smoke runs.
     pub fn quick() -> Self {
         Scale {
             ctc_jobs: 2_500,
             synthetic_jobs: 1_600,
             seed: 1999,
+        }
+    }
+
+    /// Parse a scale name as the command-line tools spell it: `quick`,
+    /// `standard`, or `paper` (alias `full`).
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "quick" => Some(Scale::quick()),
+            "standard" => Some(Scale::standard()),
+            "paper" | "full" => Some(Scale::paper()),
+            _ => None,
         }
     }
 }
@@ -173,67 +184,20 @@ pub fn pct_vs(x: f64, reference: f64) -> f64 {
 }
 
 /// Run the full 13-cell matrix (Tables 3–6 layout) over one workload and
-/// objective. Sequential by design: scheduler CPU times (Tables 7–8) come
-/// from the same runs and must not be distorted by core contention.
+/// objective, serially. The repro tables run the same cells through the
+/// sweep subsystem's campaign runner, which `core` cannot depend on.
 pub fn evaluate_matrix(workload: &Workload, objective: ObjectiveKind, title: &str) -> EvalTable {
-    evaluate_specs_with(
-        workload,
-        objective,
-        title,
-        &AlgorithmSpec::paper_matrix(),
-        true,
-    )
-}
-
-/// As [`evaluate_matrix`] but with the schedulers' incremental cache
-/// disabled (full queue scan at every decision). Schedules are identical;
-/// only the *computation-time* columns change — this is the measurement
-/// condition of the paper's Tables 7–8, where scheduler cost tracks the
-/// queue depth each algorithm's own schedule produces.
-pub fn evaluate_matrix_naive(
-    workload: &Workload,
-    objective: ObjectiveKind,
-    title: &str,
-) -> EvalTable {
-    evaluate_specs_with(
-        workload,
-        objective,
-        title,
-        &AlgorithmSpec::paper_matrix(),
-        false,
-    )
-}
-
-/// Run an arbitrary set of specs (used by the ablation benches).
-pub fn evaluate_specs(
-    workload: &Workload,
-    objective: ObjectiveKind,
-    title: &str,
-    specs: &[AlgorithmSpec],
-) -> EvalTable {
-    evaluate_specs_with(workload, objective, title, specs, true)
-}
-
-/// Full-control variant: `caching` toggles the schedulers' incremental
-/// blocked-state cache.
-pub fn evaluate_specs_with(
-    workload: &Workload,
-    objective: ObjectiveKind,
-    title: &str,
-    specs: &[AlgorithmSpec],
-    caching: bool,
-) -> EvalTable {
-    let cells = specs
-        .iter()
-        .map(|&spec| run_cell(workload, objective, spec, caching))
+    let cells = AlgorithmSpec::paper_matrix()
+        .into_iter()
+        .map(|spec| run_cell(workload, objective, spec, true))
         .collect();
     assemble_table(title, workload.name(), objective, cells)
 }
 
 /// Run a single (algorithm × backfill) cell: one full simulation of the
 /// workload under the spec, measured under `objective`. This is the unit
-/// of work the sweep subsystem distributes across worker threads; the
-/// serial `evaluate_*` drivers are thin loops over it.
+/// of work the sweep subsystem distributes across worker threads;
+/// [`evaluate_matrix`] is a serial loop over it.
 ///
 /// Runs as a streaming pipeline: the objective, makespan and utilization
 /// are folded online from the event stream, so evaluation never holds a
@@ -446,16 +410,46 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_specs_subset() {
-        let w = prepared_ctc_workload(200, 8);
-        let specs = vec![
-            AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::None),
-            AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::Easy),
+    fn assemble_table_finds_the_reference_anywhere() {
+        // Normalisation must locate FCFS+EASY even when it is not the
+        // first cell, and fall back to the first cell when it is absent.
+        let cell = |backfill, cost| {
+            EvalCell::from_parts(
+                AlgorithmSpec::new(PolicyKind::Fcfs, backfill),
+                cost,
+                Duration::from_millis(1),
+                1,
+                0.5,
+                EngineCounts::default(),
+            )
+        };
+        let cells = vec![
+            cell(BackfillMode::None, 300.0),
+            cell(BackfillMode::Easy, 200.0),
         ];
-        let t = evaluate_specs(&w, ObjectiveKind::AvgWeightedResponseTime, "sub", &specs);
+        let t = assemble_table("sub", "w", ObjectiveKind::AvgWeightedResponseTime, cells);
         assert_eq!(t.cells.len(), 2);
-        // Reference present → second cell has pct 0.
         assert_eq!(t.cells[1].pct, 0.0);
+        assert_eq!(t.cells[0].pct, 50.0);
+
+        let cells = vec![
+            cell(BackfillMode::None, 300.0),
+            cell(BackfillMode::Conservative, 150.0),
+        ];
+        let t = assemble_table("sub", "w", ObjectiveKind::AvgResponseTime, cells);
+        assert_eq!(t.cells[0].pct, 0.0);
+        assert_eq!(t.cells[1].pct, -50.0);
+    }
+
+    #[test]
+    fn scale_names_parse() {
+        assert_eq!(Scale::from_name("quick"), Some(Scale::quick()));
+        assert_eq!(Scale::from_name("standard"), Some(Scale::standard()));
+        assert_eq!(Scale::from_name("paper"), Some(Scale::paper()));
+        assert_eq!(Scale::from_name("full"), Some(Scale::paper()));
+        assert_eq!(Scale::from_name("bogus"), None);
+        assert_eq!(Scale::from_name(""), None);
+        assert_eq!(Scale::from_name("Quick"), None);
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! 3. **Scheduling algorithm** — provided by `jobsched-algos`; selected by
 //!    evaluation ([`experiment`], [`system`]).
 //!
-//! [`paper`] defines every table and figure of the evaluation example:
-//! Tables 3–6 (ART/AWRT across three workloads plus the exact-runtime
-//! study), Tables 7–8 (scheduler computation time), and Figures 1–6.
-//! [`report`] renders results in the paper's layout (scientific-notation
-//! cost plus percentage against the FCFS+EASY reference).
+//! [`paper`] defines the evaluation example's workloads (Table 1) and
+//! Figures 1–2; Tables 3–8 are grids of [`experiment::run_cell`] runs,
+//! driven by the sweep subsystem's campaign runner. [`replication`]
+//! aggregates such tables across seeds. [`report`] renders results in the
+//! paper's layout (scientific-notation cost plus percentage against the
+//! FCFS+EASY reference).
 
 pub mod ablation;
 pub mod experiment;

@@ -2,16 +2,15 @@
 //!
 //! §6.2's consistency check and §7's caution against reading too much
 //! into absolute numbers both call for replication: a single workload
-//! realisation can favour one algorithm by luck. [`replicate`] re-runs a
-//! table over several generator seeds and reports the mean and standard
+//! realisation can favour one algorithm by luck. [`replicate`] takes one
+//! evaluated table per generator seed and reports the mean and standard
 //! deviation of each cell's percentage against the per-seed FCFS+EASY
 //! reference — if an ordering claim survives the spread, it is a property
-//! of the workload *model*, not of one sample.
+//! of the workload *model*, not of one sample. `repro replicate` computes
+//! the per-seed tables as one sweep campaign.
 
-use crate::experiment::{evaluate_matrix, Scale};
-use crate::objective_select::ObjectiveKind;
+use crate::experiment::EvalTable;
 use jobsched_algos::AlgorithmSpec;
-use jobsched_workload::ctc::prepared_ctc_workload;
 use jobsched_workload::stats::Summary;
 
 /// Aggregated result of one matrix cell across seeds.
@@ -35,27 +34,26 @@ impl ReplicatedCell {
     }
 }
 
-/// Run the full matrix over `seeds` CTC-like workload realisations.
-pub fn replicate(base: Scale, objective: ObjectiveKind, seeds: &[u64]) -> Vec<ReplicatedCell> {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let mut per_spec: Vec<(AlgorithmSpec, Summary)> = AlgorithmSpec::paper_matrix()
-        .into_iter()
-        .map(|s| (s, Summary::new()))
-        .collect();
-    for &seed in seeds {
-        let w = prepared_ctc_workload(base.ctc_jobs, seed);
-        let table = evaluate_matrix(&w, objective, "replicate");
-        for (spec, summary) in &mut per_spec {
-            summary.push(table.cell(*spec).expect("matrix cell").pct);
-        }
-    }
-    per_spec
-        .into_iter()
-        .map(|(spec, s)| ReplicatedCell {
-            spec,
-            mean_pct: s.mean(),
-            std_pct: s.std_dev(),
-            seeds: seeds.len(),
+/// Aggregate one table per seed into per-cell mean ± std of `pct`, in the
+/// first table's cell order. Every table must carry the first table's
+/// specs.
+pub fn replicate(tables: &[EvalTable]) -> Vec<ReplicatedCell> {
+    let first = tables.first().expect("need at least one seed");
+    first
+        .cells
+        .iter()
+        .map(|c| {
+            let spec = c.spec();
+            let mut s = Summary::new();
+            for t in tables {
+                s.push(t.cell(spec).expect("every seed has the same cells").pct);
+            }
+            ReplicatedCell {
+                spec,
+                mean_pct: s.mean(),
+                std_pct: s.std_dev(),
+                seeds: tables.len(),
+            }
         })
         .collect()
 }
@@ -63,17 +61,25 @@ pub fn replicate(base: Scale, objective: ObjectiveKind, seeds: &[u64]) -> Vec<Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::evaluate_matrix;
+    use crate::objective_select::ObjectiveKind;
     use jobsched_algos::spec::PolicyKind;
     use jobsched_algos::BackfillMode;
+    use jobsched_workload::ctc::prepared_ctc_workload;
+
+    fn tables(jobs: usize, seeds: &[u64]) -> Vec<EvalTable> {
+        seeds
+            .iter()
+            .map(|&seed| {
+                let w = prepared_ctc_workload(jobs, seed);
+                evaluate_matrix(&w, ObjectiveKind::AvgResponseTime, "replicate")
+            })
+            .collect()
+    }
 
     #[test]
     fn replication_aggregates_across_seeds() {
-        let scale = Scale {
-            ctc_jobs: 600,
-            synthetic_jobs: 200,
-            seed: 0,
-        };
-        let cells = replicate(scale, ObjectiveKind::AvgResponseTime, &[1, 2, 3]);
+        let cells = replicate(&tables(600, &[1, 2, 3]));
         assert_eq!(cells.len(), 13);
         let reference = cells
             .iter()
@@ -86,12 +92,7 @@ mod tests {
 
     #[test]
     fn fcfs_plain_consistently_worst_across_seeds() {
-        let scale = Scale {
-            ctc_jobs: 900,
-            synthetic_jobs: 200,
-            seed: 0,
-        };
-        let cells = replicate(scale, ObjectiveKind::AvgResponseTime, &[11, 12, 13]);
+        let cells = replicate(&tables(900, &[11, 12, 13]));
         let fcfs_plain = cells
             .iter()
             .find(|c| c.spec == AlgorithmSpec::new(PolicyKind::Fcfs, BackfillMode::None))
@@ -105,11 +106,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seed_list_rejected() {
-        let scale = Scale {
-            ctc_jobs: 100,
-            synthetic_jobs: 100,
-            seed: 0,
-        };
-        let _ = replicate(scale, ObjectiveKind::AvgResponseTime, &[]);
+        let _ = replicate(&[]);
     }
 }

@@ -3,8 +3,8 @@
 //! tries every candidate instant.
 //!
 //! Randomization runs on the crate's own deterministic generators
-//! (`jobsched_workload::rng`) instead of `proptest`, whose feature is a
-//! no-op gate in the offline build — these properties run in every plain
+//! (`jobsched_workload::rng`) instead of `proptest`, which the offline
+//! build cannot fetch — these properties run in every plain
 //! `cargo test`.
 
 use jobsched_sim::Profile;

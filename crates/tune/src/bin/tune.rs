@@ -93,12 +93,7 @@ fn parse_args() -> Args {
             "--scale" => {
                 args.scale_explicit = true;
                 args.scale_name = value(&argv, &mut i);
-                args.scale = match args.scale_name.as_str() {
-                    "quick" => Scale::quick(),
-                    "standard" => Scale::standard(),
-                    "paper" => Scale::paper(),
-                    _ => usage(),
-                };
+                args.scale = Scale::from_name(&args.scale_name).unwrap_or_else(|| usage());
             }
             "--jobs" => {
                 args.jobs = value(&argv, &mut i).parse().unwrap_or_else(|_| usage());

@@ -5,11 +5,21 @@
 use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::view::WeightScheme;
 use jobsched::algos::{AlgorithmSpec, BackfillMode};
-use jobsched::core::experiment::{evaluate_matrix, Scale};
+use jobsched::core::experiment::{evaluate_matrix, EvalTable, Scale};
 use jobsched::core::objective_select::ObjectiveKind;
-use jobsched::core::paper;
 use jobsched::sim::simulate;
 use jobsched::workload::ctc::prepared_ctc_workload;
+use jobsched_sweep::{run_campaign, Campaign, SweepOptions};
+
+/// Run `Campaign::paper_tables` for `wanted` through the campaign runner
+/// and return the assembled tables, two per paper table (unweighted,
+/// weighted).
+fn paper_tables(scale: Scale, wanted: &[&str]) -> Vec<EvalTable> {
+    let campaign = Campaign::paper_tables(scale, wanted);
+    run_campaign(&campaign, &SweepOptions::default())
+        .expect("in-memory campaign")
+        .tables
+}
 
 fn cell(table: &jobsched::core::EvalTable, kind: PolicyKind, mode: BackfillMode) -> f64 {
     table
@@ -159,15 +169,20 @@ fn exact_estimates_improve_dynamic_algorithms() {
         synthetic_jobs: 400,
         seed: 1999,
     };
-    let estimated = paper::table3(scale);
-    let exact = paper::table6(scale);
+    let tables = paper_tables(scale, &["table3", "table6"]);
+    let (estimated, exact) = (&tables[0], &tables[2]);
+    assert_eq!(estimated.title, "Table 3: CTC workload (unweighted case)");
+    assert_eq!(
+        exact.title,
+        "Table 6: CTC workload, exact execution times (unweighted case)"
+    );
     for kind in [
         PolicyKind::SmartFfia,
         PolicyKind::SmartNfiw,
         PolicyKind::Psrs,
     ] {
-        let est = cell(&estimated.unweighted, kind, BackfillMode::Easy);
-        let exa = cell(&exact.unweighted, kind, BackfillMode::Easy);
+        let est = cell(estimated, kind, BackfillMode::Easy);
+        let exa = cell(exact, kind, BackfillMode::Easy);
         assert!(
             exa < est,
             "{kind:?}: exact runtimes should improve EASY ({exa:.3e} vs {est:.3e})"
@@ -200,19 +215,15 @@ fn table_pairs_cover_all_paper_tables() {
         synthetic_jobs: 250,
         seed: 5,
     };
-    for (pair, label) in [
-        (paper::table3(scale), "t3"),
-        (paper::table4(scale), "t4"),
-        (paper::table5(scale), "t5"),
-        (paper::table6(scale), "t6"),
-    ] {
-        assert_eq!(pair.unweighted.cells.len(), 13, "{label}");
-        assert_eq!(pair.weighted.cells.len(), 13, "{label}");
-        assert_eq!(pair.unweighted.objective, ObjectiveKind::AvgResponseTime);
-        assert_eq!(
-            pair.weighted.objective,
-            ObjectiveKind::AvgWeightedResponseTime
-        );
+    let labels = ["t3", "t4", "t5", "t6"];
+    let tables = paper_tables(scale, &["table3", "table4", "table5", "table6"]);
+    assert_eq!(tables.len(), 2 * labels.len());
+    for (pair, label) in tables.chunks(2).zip(labels) {
+        let (unweighted, weighted) = (&pair[0], &pair[1]);
+        assert_eq!(unweighted.cells.len(), 13, "{label}");
+        assert_eq!(weighted.cells.len(), 13, "{label}");
+        assert_eq!(unweighted.objective, ObjectiveKind::AvgResponseTime);
+        assert_eq!(weighted.objective, ObjectiveKind::AvgWeightedResponseTime);
     }
 }
 

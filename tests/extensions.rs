@@ -6,7 +6,7 @@ use jobsched::algos::spec::PolicyKind;
 use jobsched::algos::switching::SwitchingScheduler;
 use jobsched::algos::{AlgorithmSpec, BackfillMode};
 use jobsched::core::ablation;
-use jobsched::core::experiment::Scale;
+use jobsched::core::experiment::{evaluate_matrix, Scale};
 use jobsched::core::extensions::{combined_comparison, gang_comparison, heterogeneity_comparison};
 use jobsched::core::objective_select::ObjectiveKind;
 use jobsched::core::replication::replicate;
@@ -103,11 +103,14 @@ fn heterogeneity_error_is_small() {
 
 #[test]
 fn replication_keeps_headline_orderings() {
-    let cells = replicate(
-        scale(1_200),
-        ObjectiveKind::AvgWeightedResponseTime,
-        &[31, 32, 33],
-    );
+    let tables: Vec<_> = [31, 32, 33]
+        .into_iter()
+        .map(|seed| {
+            let w = prepared_ctc_workload(1_200, seed);
+            evaluate_matrix(&w, ObjectiveKind::AvgWeightedResponseTime, "replicate")
+        })
+        .collect();
+    let cells = replicate(&tables);
     let gg = cells
         .iter()
         .find(|c| c.spec == AlgorithmSpec::new(PolicyKind::GareyGraham, BackfillMode::None))

@@ -2,8 +2,8 @@
 //! not just the calibrated ones.
 //!
 //! Randomization runs on the repo's own deterministic generators
-//! (`jobsched::workload::rng`) instead of `proptest`, whose feature is a
-//! no-op gate in the offline build — these properties run in every plain
+//! (`jobsched::workload::rng`) instead of `proptest`, which the offline
+//! build cannot fetch — these properties run in every plain
 //! `cargo test -q`.
 
 use jobsched::algos::spec::PolicyKind;
