@@ -302,6 +302,8 @@ pub const CONSERVATIVE_TRUNCATION_DEPTH: usize = 512;
 
 /// Conservative backfilling, full scan: build the reservation calendar in
 /// priority order; start exactly the jobs whose reservation is `now`.
+/// Each job is placed with one [`Profile::book`] (earliest fit, then
+/// booking at the step indices the search found).
 ///
 /// For queues deeper than [`CONSERVATIVE_TRUNCATION_DEPTH`] the scan
 /// truncates the calendar at a horizon of `now + 4 × max requested time`:
@@ -342,6 +344,13 @@ pub fn scan_conservative_in(
 /// [`jobsched_sim::LiveProfile`]: the calendar is merged into `scratch` (linear, no
 /// sort, reusing its allocation) and the scan books reservations there.
 /// Results are bit-identical to [`scan_conservative`].
+///
+/// `scratch` is left holding the scan's whole calendar (the running set
+/// plus every booked reservation) with its first step at `now`. Unless
+/// the scan was horizon-truncated or stopped at a saturated `now`, that
+/// is every queued job's reservation, so a caller that keeps it can book
+/// a later tail arrival onto it with [`jobsched_sim::Profile::book`]
+/// instead of re-scanning the queue: [`crate::ListScheduler`] does.
 pub fn scan_conservative_live(
     order: impl IntoIterator<Item = JobId>,
     queue_len: usize,
@@ -415,15 +424,14 @@ fn scan_conservative_over(
             continue;
         }
         let duration = job.requested_time.max(1);
-        let start = profile.earliest_start(job.nodes, duration, now);
+        let start = profile.book(job.nodes, duration, now, horizon);
         if start >= horizon {
             continue; // cannot overlap any start-now window
         }
-        profile.reserve(job.nodes, start, duration);
         if start == now {
             out.push(id);
         }
-        leftover = profile.free_at(now);
+        leftover = profile.free_at_start();
         if leftover == 0 {
             // No node is free now; no later job can start now, and its
             // reservation cannot influence *this* round's starts.

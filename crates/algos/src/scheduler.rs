@@ -11,11 +11,12 @@
 
 use crate::backfill::{
     scan_conservative_in, scan_conservative_live_in, scan_easy_in, scan_easy_live_in,
-    select_head_blocking_in, BackfillMode,
+    select_head_blocking_in, BackfillMode, CONSERVATIVE_TRUNCATION_DEPTH,
 };
 use crate::garey_graham::select_greedy_any_in;
 use crate::order::{OrderPolicy, ReorderTrigger};
 use crate::view::JobView;
+use jobsched_sim::profile::HORIZON;
 use jobsched_sim::{JobRequest, Machine, Profile, Scheduler};
 use jobsched_workload::{ClassId, JobId, Time};
 use std::collections::BTreeSet;
@@ -145,11 +146,24 @@ pub(crate) enum BlockedCache {
         free: u32,
     },
     /// Conservative: free nodes left *now* after the reservation
-    /// calendar; an arrival needing more cannot start, one that fits
-    /// forces a full re-scan (its reservation interacts with the chain).
+    /// calendar; an arrival needing more cannot start.
+    ///
+    /// With `calendar` set, the scheduler's scratch profile holds that
+    /// calendar complete: the running set plus a reservation for every
+    /// waiting job, first step at the last decision instant. Tail
+    /// arrivals are then booked onto it in order, exactly where a full
+    /// scan would book them last, and one starts iff its reservation is
+    /// `now`. The calendar is used only while it is provably current
+    /// ([`Profile::advance_to`]: no breakpoint fell due since it was
+    /// taken) and the queue stays within
+    /// [`crate::backfill::CONSERVATIVE_TRUNCATION_DEPTH`]. Otherwise an
+    /// arrival that fits `leftover` forces a full re-scan, since its
+    /// reservation interacts with the chain.
     Conservative {
         /// Free nodes remaining now.
         leftover: u32,
+        /// Scratch holds the complete, bookable calendar.
+        calendar: bool,
     },
 }
 
@@ -335,7 +349,7 @@ impl ListScheduler {
                 mut extra,
                 mut free,
             } => {
-                let open = shadow >= jobsched_sim::profile::HORIZON;
+                let open = shadow >= HORIZON;
                 for &id in &self.arrivals {
                     let job = *self.waiting.get(id);
                     let fits_now = job.nodes <= free;
@@ -367,8 +381,29 @@ impl ListScheduler {
                     free,
                 }
             }
-            BlockedCache::Conservative { leftover } => {
-                if self
+            BlockedCache::Conservative {
+                mut leftover,
+                calendar,
+            } => {
+                let calendar = calendar
+                    && self.waiting.len() <= CONSERVATIVE_TRUNCATION_DEPTH
+                    && self.scratch.advance_to(now);
+                if calendar {
+                    // Book each arrival where a full scan would: last, in
+                    // submission order. Once nothing is free now, the scan
+                    // stops booking and so does this loop.
+                    for &id in &self.arrivals {
+                        if leftover == 0 {
+                            break;
+                        }
+                        let job = self.waiting.get(id);
+                        let duration = job.requested_time.max(1);
+                        if self.scratch.book(job.nodes, duration, now, HORIZON) == now {
+                            picks.push(id);
+                            leftover = self.scratch.free_at_start();
+                        }
+                    }
+                } else if self
                     .arrivals
                     .iter()
                     .any(|&id| self.waiting.get(id).nodes <= leftover)
@@ -379,7 +414,10 @@ impl ListScheduler {
                     return Vec::new(); // caller falls through to full scan
                 }
                 self.arrivals.clear();
-                BlockedCache::Conservative { leftover }
+                BlockedCache::Conservative {
+                    leftover,
+                    calendar: calendar && leftover > 0,
+                }
             }
         };
         self.cache = Some(updated);
@@ -523,10 +561,17 @@ pub(crate) fn full_scan<I: IntoIterator<Item = JobId>>(
                     scratch,
                 ),
             };
+            // Only the in-place scan leaves its calendar in `scratch`, and
+            // it holds every reservation unless the scan was truncated or
+            // stopped at a saturated `now`.
+            let calendar = profile_mode == ProfileMode::Incremental
+                && waiting.len() <= CONSERVATIVE_TRUNCATION_DEPTH
+                && scan.leftover > 0;
             (
                 scan.picks,
                 BlockedCache::Conservative {
                     leftover: scan.leftover,
+                    calendar,
                 },
             )
         }

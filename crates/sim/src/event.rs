@@ -89,16 +89,17 @@ impl EventQueue {
         self.heap.peek().map(|Reverse((t, _, _))| *t)
     }
 
-    /// Pop *all* events at the earliest pending timestamp. Finishes sort
-    /// before submissions within the batch.
-    pub fn pop_batch(&mut self) -> Option<(Time, Vec<Event>)> {
+    /// Pop *all* events at the earliest pending timestamp into `batch`
+    /// (cleared first, so one buffer serves a whole run) and return that
+    /// timestamp. Finishes sort before submissions within the batch.
+    pub fn pop_batch(&mut self, batch: &mut Vec<Event>) -> Option<Time> {
         let t = self.peek_time()?;
-        let mut batch = Vec::new();
+        batch.clear();
         while self.peek_time() == Some(t) {
             let Reverse((_, ev, _)) = self.heap.pop().expect("peeked");
             batch.push(ev);
         }
-        Some((t, batch))
+        Some(t)
     }
 }
 
@@ -112,7 +113,8 @@ mod tests {
         q.push(30, Event::Submit(JobId(3)));
         q.push(10, Event::Submit(JobId(1)));
         q.push(20, Event::Submit(JobId(2)));
-        let times: Vec<Time> = std::iter::from_fn(|| q.pop_batch().map(|(t, _)| t)).collect();
+        let mut batch = Vec::new();
+        let times: Vec<Time> = std::iter::from_fn(|| q.pop_batch(&mut batch)).collect();
         assert_eq!(times, vec![10, 20, 30]);
     }
 
@@ -123,8 +125,8 @@ mod tests {
         q.push(10, Event::Finish(JobId(0)));
         q.push(10, Event::Submit(JobId(2)));
         q.push(20, Event::Submit(JobId(3)));
-        let (t, batch) = q.pop_batch().unwrap();
-        assert_eq!(t, 10);
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_batch(&mut batch), Some(10));
         assert_eq!(batch.len(), 3);
         // Finish events lead the batch.
         assert_eq!(batch[0], Event::Finish(JobId(0)));
@@ -139,7 +141,8 @@ mod tests {
         q.push(10, Event::Submit(JobId(2)));
         q.push(10, Event::Undrain(1));
         q.push(10, Event::Finish(JobId(0)));
-        let (_, batch) = q.pop_batch().unwrap();
+        let mut batch = Vec::new();
+        q.pop_batch(&mut batch).unwrap();
         assert_eq!(
             batch,
             vec![
@@ -163,7 +166,8 @@ mod tests {
         q.push(10, Event::Resume(JobId(2)));
         q.push(10, Event::Preempt(JobId(1)));
         q.push(10, Event::Finish(JobId(0)));
-        let (_, batch) = q.pop_batch().unwrap();
+        let mut batch = Vec::new();
+        q.pop_batch(&mut batch).unwrap();
         assert_eq!(
             batch,
             vec![
@@ -180,7 +184,7 @@ mod tests {
     fn empty_queue_returns_none() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.pop_batch(), None);
+        assert_eq!(q.pop_batch(&mut Vec::new()), None);
         assert_eq!(q.peek_time(), None);
     }
 

@@ -63,13 +63,26 @@ impl InFlight {
 ///
 /// Lifecycle bookkeeping is bounded: `staged` holds jobs whose submit
 /// event is queued but not yet processed, `alive` holds submitted jobs
-/// until they retire, `cancelled` is O(#faults), and `submitted_below`
-/// is a watermark standing in for the batch engine's dense `submitted`
-/// bitmap (valid because pipeline sources submit in dense id order; the
-/// daemon additionally consults `staged` for sparse ids).
+/// until they retire, and `submitted_below` is a watermark standing in
+/// for the batch engine's dense `submitted` bitmap (valid because
+/// pipeline sources submit in dense id order; the daemon additionally
+/// consults `staged` for sparse ids).
+///
+/// The event heap holds only what the owner has injected and the engine
+/// has not yet processed: staged submissions, pending finishes and
+/// resumes, planned drains and preemptions, and the cancellations pushed
+/// so far. The pipeline pushes a cancellation only once it is due at or
+/// before the next batch, so the heap tracks the in-flight work, not the
+/// size of the fault plan. `cancelled` holds the ids that a processed
+/// cancellation retracted (before submission, queued, running or
+/// preempted; not the no-op ones that came too late), so it grows with
+/// the cancellations applied so far.
 pub struct LiveSim {
     machine: Machine,
     events: EventQueue,
+    /// The batch buffer [`LiveSim::step`] pops into, kept across steps
+    /// so a run allocates it once.
+    batch: Vec<Event>,
     staged: BTreeMap<JobId, Job>,
     alive: BTreeMap<JobId, InFlight>,
     cancelled: BTreeSet<JobId>,
@@ -105,6 +118,7 @@ impl LiveSim {
         LiveSim {
             machine: Machine::with_layout(layout),
             events: EventQueue::new(),
+            batch: Vec::new(),
             staged: BTreeMap::new(),
             alive: BTreeMap::new(),
             cancelled: BTreeSet::new(),
@@ -241,9 +255,13 @@ impl LiveSim {
         more_input: bool,
         observers: &mut [&mut dyn SimObserver],
     ) -> Option<Time> {
-        let (now, batch) = self.events.pop_batch()?;
+        let mut batch = std::mem::take(&mut self.batch);
+        let Some(now) = self.events.pop_batch(&mut batch) else {
+            self.batch = batch;
+            return None;
+        };
         self.horizon = now;
-        for ev in batch {
+        for &ev in &batch {
             self.n_events += 1;
             match ev {
                 Event::Submit(id) => {
@@ -452,6 +470,7 @@ impl LiveSim {
                 Event::Wakeup => {} // decision round below is the effect
             }
         }
+        self.batch = batch;
         self.peak_queue = self.peak_queue.max(scheduler.queue_len());
 
         // Let the scheduler start jobs until it has nothing more to start.

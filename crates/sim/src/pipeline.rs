@@ -27,9 +27,12 @@
 //! sources are submission-ordered, the queue's earliest timestamp after a
 //! refill equals the global minimum over all pending *and future* events,
 //! so batch boundaries — and therefore every scheduler decision — are
-//! identical to the batch engine's. Wakeup deduplication and deadlock
-//! detection consult the lookahead as well, closing the last two places
-//! where "no event in the queue" used to mean "no event, ever".
+//! identical to the batch engine's. The fault plan's cancellations
+//! stream in the same way, from a cursor over the plan sorted by
+//! `(at, id)`, so the event heap never holds the whole plan. Wakeup
+//! deduplication and deadlock detection consult the lookahead and the
+//! cursor as well, closing the last two places where "no event in the
+//! queue" used to mean "no event, ever".
 
 use crate::engine::{CancelPhase, FaultOutcome, FaultPlan, JobRequest, Scheduler, SimOutcome};
 use crate::live::LiveSim;
@@ -264,9 +267,16 @@ pub struct PipelineOutcome {
 pub struct SimPipeline<'a> {
     source: &'a mut dyn JobSource,
     scheduler: &'a mut dyn Scheduler,
-    faults: FaultPlan,
+    faults: &'a FaultPlan,
     observers: Vec<&'a mut dyn SimObserver>,
 }
+
+/// The plan of a run without faults.
+static NO_FAULTS: FaultPlan = FaultPlan {
+    cancels: Vec::new(),
+    drains: Vec::new(),
+    preempts: Vec::new(),
+};
 
 impl<'a> SimPipeline<'a> {
     /// Couple a source to a scheduler. Faults and observers are optional.
@@ -274,7 +284,7 @@ impl<'a> SimPipeline<'a> {
         SimPipeline {
             source,
             scheduler,
-            faults: FaultPlan::default(),
+            faults: &NO_FAULTS,
             observers: Vec::new(),
         }
     }
@@ -286,8 +296,8 @@ impl<'a> SimPipeline<'a> {
     /// job id the source never produces counts as `PreSubmit` — against
     /// an unbounded source there is no way to tell "not yet" from
     /// "never".
-    pub fn with_faults(mut self, faults: &FaultPlan) -> Self {
-        self.faults = faults.clone();
+    pub fn with_faults(mut self, faults: &'a FaultPlan) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -315,9 +325,11 @@ impl<'a> SimPipeline<'a> {
             Some(layout) => LiveSim::with_layout(layout.clone()),
             None => LiveSim::new(source.machine_nodes()),
         };
-        for c in &faults.cancels {
-            live.push_cancel(c.at, c.id);
-        }
+        // Cancellations stream in from a cursor, like submissions: the
+        // heap then holds only the ones already due.
+        let mut cancels = faults.cancels.clone();
+        cancels.sort_unstable_by_key(|c| (c.at, c.id));
+        let mut next_cancel = 0;
         for d in &faults.drains {
             live.plan_drain(*d);
         }
@@ -331,28 +343,32 @@ impl<'a> SimPipeline<'a> {
 
         loop {
             // Refill: stage the lookahead submission (and any same-instant
-            // successors) while it is due at or before the engine's
-            // earliest event. Afterwards the queue's head time is the
-            // global minimum including all future submissions.
-            while let Some(j) = &lookahead {
-                let due = match live.next_event_time() {
-                    None => true,
-                    Some(t) => j.submit <= t,
-                };
-                if !due {
+            // successors) and the next cancellations while they are due at
+            // or before the engine's earliest event. Afterwards the
+            // queue's head time is the global minimum including all
+            // future submissions and cancellations. Injection order does
+            // not matter: a batch is processed in `(time, Event)` order.
+            loop {
+                let due = |at: Time| live.next_event_time().is_none_or(|t| at <= t);
+                if let Some(j) = lookahead.take_if(|j| due(j.submit)) {
+                    live.add_job(j);
+                    lookahead = pull(source, &mut next_expected, &mut last_submit)?;
+                } else if let Some(c) = cancels.get(next_cancel).filter(|c| due(c.at)) {
+                    live.push_cancel(c.at, c.id);
+                    next_cancel += 1;
+                } else {
                     break;
                 }
-                let j = lookahead.take().expect("checked above");
-                live.add_job(j);
-                lookahead = pull(source, &mut next_expected, &mut last_submit)?;
             }
 
-            let next_external = lookahead.as_ref().map(|j| j.submit);
+            let next_submit = lookahead.as_ref().map(|j| j.submit);
+            let pending_cancel = cancels.get(next_cancel).map(|c| c.at);
+            let next_external = next_submit.into_iter().chain(pending_cancel).min();
             if live
                 .step(
                     scheduler,
                     next_external,
-                    lookahead.is_some(),
+                    next_external.is_some(),
                     &mut observers,
                 )
                 .is_none()
@@ -447,7 +463,7 @@ pub fn simulate_with_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate_batch;
+    use crate::engine::{simulate_batch, CancelFault};
     use crate::machine::Machine;
     use jobsched_workload::JobBuilder;
     use std::collections::VecDeque;
@@ -544,6 +560,53 @@ mod tests {
         assert_eq!(stream.decision_rounds, batch.decision_rounds);
         assert_eq!(stream.peak_queue, batch.peak_queue);
         assert_eq!(stream.faults, batch.faults);
+    }
+
+    #[test]
+    fn streamed_cancels_match_the_batch_engine() {
+        // Every event of `seq_workload` lands on a multiple of 10, so the
+        // odd instants below hold nothing but the cancellation.
+        let w = seq_workload(40, 10);
+        let cancel = |id: u32, at: Time| CancelFault { id: JobId(id), at };
+        let plan = FaultPlan {
+            cancels: vec![
+                cancel(30, 101), // before its submission at 450, alone
+                cancel(9, 333),  // queued, alone; listed out of order
+                cancel(3, 60),   // at its own submission instant
+                cancel(5, 200),
+                cancel(5, 200), // duplicate in the same batch
+                cancel(7, 317),
+                cancel(7, 321),     // duplicate at a later instant
+                cancel(0, 9_999),   // long after the run: a no-op
+                cancel(12, 17),     // before its submission, alone
+                cancel(20, 91_000), // keeps the cursor busy past the end
+            ],
+            ..Default::default()
+        };
+        let batch = crate::engine::simulate_batch_with_faults(&w, &mut TestFcfs::new(), &plan);
+        let stream = simulate_with_faults(&w, &mut TestFcfs::new(), &plan);
+        assert_eq!(stream.faults, batch.faults);
+        assert_eq!(stream.schedule, batch.schedule);
+        assert_eq!(stream.events, batch.events);
+        assert_eq!(stream.decision_rounds, batch.decision_rounds);
+        assert_eq!(stream.peak_queue, batch.peak_queue);
+        let phases: Vec<CancelPhase> = stream
+            .faults
+            .iter()
+            .map(|f| match f {
+                FaultOutcome::Cancelled { phase, .. } => *phase,
+                other => panic!("unexpected fault {other:?}"),
+            })
+            .collect();
+        for phase in [
+            CancelPhase::PreSubmit,
+            CancelPhase::Queued,
+            CancelPhase::AlreadyFinished,
+        ] {
+            assert!(phases.contains(&phase), "no {phase:?} in {phases:?}");
+        }
+        // The duplicates are dropped, not logged twice.
+        assert_eq!(phases.len(), plan.cancels.len() - 2);
     }
 
     #[test]

@@ -36,31 +36,45 @@ fn sweep_earliest(
     from: Time,
     level_at_from: u32,
     later: impl Iterator<Item = (Time, u32)>,
-) -> Time {
+) -> Fit {
     let duration = duration.max(1);
-    let mut candidate = if level_at_from >= nodes {
-        Some(from)
-    } else {
-        None
-    };
+    // The candidate start and the position of the step governing it.
+    let mut candidate = (level_at_from >= nodes).then_some((from, 0));
+    let mut k = 0;
     for (t, f) in later {
+        k += 1;
         match candidate {
-            Some(c) => {
-                if t >= c.saturating_add(duration) {
-                    return c; // window [c, c+duration) clear
-                }
-                if f < nodes {
-                    candidate = None; // violated: restart past this step
-                }
+            Some((start, first)) if t >= start.saturating_add(duration) => {
+                // window [start, start+duration) clear
+                return Fit {
+                    start,
+                    first,
+                    end: k,
+                };
             }
-            None => {
-                if f >= nodes {
-                    candidate = Some(t);
-                }
-            }
+            Some(_) if f < nodes => candidate = None, // violated: restart past this step
+            None if f >= nodes => candidate = Some((t, k)),
+            _ => {}
         }
     }
-    candidate.unwrap_or(HORIZON)
+    let (start, first) = candidate.unwrap_or((HORIZON, k));
+    Fit {
+        start,
+        first,
+        end: k + 1,
+    }
+}
+
+/// Result of [`sweep_earliest`]. Positions count steps from the one
+/// governing `from` (0), through the `later` breakpoints (1, 2, …).
+struct Fit {
+    /// Earliest feasible start, or [`HORIZON`] if none.
+    start: Time,
+    /// Position of the step governing `start`.
+    first: usize,
+    /// Position of the first step at or after the window's end (one past
+    /// the last step if there is none).
+    end: usize,
 }
 
 /// Step function of free nodes over future time.
@@ -198,14 +212,21 @@ impl Profile {
     /// reservation.
     pub fn earliest_start(&self, nodes: u32, duration: Time, from: Time) -> Time {
         assert!(nodes <= self.total, "request exceeds machine size");
+        self.sweep_from(nodes, duration, from).1.start
+    }
+
+    /// [`sweep_earliest`] from the step governing `from`; also returns
+    /// that step's index, the base of the [`Fit`]'s positions.
+    fn sweep_from(&self, nodes: u32, duration: Time, from: Time) -> (usize, Fit) {
         let i = self.step_index(from);
-        sweep_earliest(
+        let fit = sweep_earliest(
             nodes,
             duration,
             from,
             self.steps[i].1,
             self.steps[i + 1..].iter().copied(),
-        )
+        );
+        (i, fit)
     }
 
     /// Subtract `nodes` from the profile over `[start, start + duration)`
@@ -231,6 +252,61 @@ impl Profile {
             );
             *f -= nodes;
         }
+    }
+
+    /// Book `nodes` for `duration` seconds at the earliest instant ≥
+    /// `from` where they fit, if that instant precedes `limit`, and return
+    /// the instant: exactly [`Profile::earliest_start`] followed by
+    /// [`Profile::reserve`] when the start is below `limit`, but the
+    /// booking reuses the step indices the search found instead of
+    /// searching again. Pass [`HORIZON`] as `limit` to book any fit.
+    ///
+    /// `from` must not precede the profile's start.
+    pub fn book(&mut self, nodes: u32, duration: Time, from: Time, limit: Time) -> Time {
+        assert!(nodes <= self.total, "request exceeds machine size");
+        assert!(
+            from >= self.steps[0].0,
+            "booking before the profile's start"
+        );
+        let (i, fit) = self.sweep_from(nodes, duration, from);
+        let start = fit.start;
+        if start >= limit.min(HORIZON) {
+            return start;
+        }
+        let (mut lo, mut hi) = (i + fit.first, i + fit.end);
+        let end = start.saturating_add(duration.max(1));
+        if self.steps.get(hi).is_none_or(|&(t, _)| t != end) {
+            self.steps.insert(hi, (end, self.steps[hi - 1].1));
+        }
+        if self.steps[lo].0 != start {
+            self.steps.insert(lo + 1, (start, self.steps[lo].1));
+            lo += 1;
+            hi += 1;
+        }
+        for (_, f) in &mut self.steps[lo..hi] {
+            *f -= nodes;
+        }
+        start
+    }
+
+    /// Free nodes at the profile's start.
+    #[inline]
+    pub fn free_at_start(&self) -> u32 {
+        self.steps[0].1
+    }
+
+    /// Move the profile's start forward to `now`, if it is still the
+    /// step function as seen from `now`: no breakpoint may lie in
+    /// `(start, now]`, so the first step governs the whole interval and
+    /// nothing (a projected release, a reservation's start or end) fell
+    /// due in between. Returns whether the profile was moved; when it
+    /// was not, it is left as it was.
+    pub fn advance_to(&mut self, now: Time) -> bool {
+        let current = now >= self.steps[0].0 && self.steps.get(1).is_none_or(|&(t, _)| t > now);
+        if current {
+            self.steps[0].0 = now;
+        }
+        current
     }
 
     fn ensure_breakpoint(&mut self, t: Time) {
@@ -384,6 +460,7 @@ impl LiveProfile {
             self.free_at(now, from),
             self.steps_after(now).skip_while(move |&(t, _)| t <= from),
         )
+        .start
     }
 
     /// Materialise the step function at `now` into `out`, reusing its

@@ -260,8 +260,9 @@ pub fn simulate_time_shared(
     let mut rounds = 0u64;
     let mut peak_queue = 0usize;
 
-    while let Some((now, batch)) = events.pop_batch() {
-        for ev in batch {
+    let mut batch = Vec::new();
+    while let Some(now) = events.pop_batch(&mut batch) {
+        for &ev in &batch {
             n_events += 1;
             match ev {
                 Event::Submit(id) => {
